@@ -7,8 +7,8 @@
 // pins. Registration is idempotent; a retransmission maps onto the node it
 // already has.
 //
-// Three stores, all bounded:
-//   * nodes   — id -> {size, kind}; FIFO eviction past the cap.
+// Three tables, all bounded:
+//   * nodes   — id -> {size, kind}; oldest-first eviction past the cap.
 //   * edges   — child id -> parent hops ({parent, ts, kind, actor, detail});
 //               deduplicated, capped per child. "pkt 7 <- split of pkt 3".
 //   * ledgers — per (scope, canonical flow) rings of decision records
@@ -17,9 +17,19 @@
 //
 // The *scope* disambiguates parallel replay: every isolated round replays
 // the same 10.0.0.1 flow tuple, so a thread-local scope id — set by the
-// round scheduler to the content-defined round fingerprint — keeps
-// concurrent worlds from interleaving one flow's story. Scope 0 is the
-// ambient (serial, non-round) scope.
+// round scheduler to the content-defined round fingerprint, and by the
+// fleet to the shard seed — keeps concurrent worlds from interleaving one
+// flow's story. Scope 0 is the ambient (serial, non-round) scope.
+//
+// The scope is also the unit of storage: each scope owns a Store with its
+// own lock, found through a thread-local cache, so concurrent worlds never
+// contend on the hot path. Readers merge the stores (nodes deduplicated by
+// id, a "wire" stub taking its real origin's kind; hops deduplicated with
+// the first sighting winning). The caps stay process-wide: every new node
+// and ledger takes a number from one global sequence, and eviction drops
+// the globally oldest entries first, in batches that let a table overshoot
+// its cap by at most cap/16 (exactly the cap below 16). A packet recorded
+// in several scopes takes one entry in each.
 //
 // Like the rest of obs, everything here is level-independent inline code —
 // gating lives only in the LIBERATE_PROV_* macros (obs/obs.h), so TUs
@@ -27,11 +37,14 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <deque>
 #include <initializer_list>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -212,9 +225,15 @@ class ProvenanceRecorder {
   /// Idempotently register a packet node. Returns the lineage id.
   std::uint64_t packet(BytesView datagram, std::string_view kind) {
     std::uint64_t id = packet_id(datagram);
-    std::lock_guard<std::mutex> lock(mutex_);
-    register_node_locked(id, static_cast<std::uint32_t>(datagram.size()),
-                         kind);
+    const std::uint8_t k = intern_kind(kind);
+    Store& s = local_store();
+    std::uint64_t issued = 0;
+    {
+      std::lock_guard<std::mutex> lock(s.mutex);
+      issued = register_node_locked(
+          s, id, static_cast<std::uint32_t>(datagram.size()), k);
+    }
+    if (issued != 0) evict_if_over(*s.budget, Table::kNodes, issued);
     return id;
   }
 
@@ -233,42 +252,51 @@ class ProvenanceRecorder {
                 std::uint32_t child_size, std::string_view kind,
                 std::string_view actor, std::string_view detail = {}) {
     if (parent == child) return;  // pass-through, not a hop
-    std::lock_guard<std::mutex> lock(mutex_);
-    register_node_locked(parent, parent_size, "wire");
-    register_node_locked(child, child_size, "wire");
-    auto& hops = edges_[child];
-    for (const EdgeInfo& e : hops) {
-      if (e.parent == parent && e.kind == kind && e.actor == actor) return;
+    Store& s = local_store();
+    std::uint64_t issued = 0;
+    {
+      std::lock_guard<std::mutex> lock(s.mutex);
+      issued = register_node_locked(s, parent, parent_size, kWireKind);
+      issued = std::max(issued,
+                        register_node_locked(s, child, child_size, kWireKind));
+      add_hop_locked(s, ts_us, parent, child, kind, actor, detail);
     }
-    if (hops.size() >= kMaxEdgesPerChild) return;
-    EdgeInfo e;
-    e.child = child;
-    e.parent = parent;
-    e.ts_us = ts_us;
-    e.kind = kind;
-    e.actor = actor;
-    e.detail = detail;
-    hops.push_back(std::move(e));
+    if (issued != 0) evict_if_over(*s.budget, Table::kNodes, issued);
   }
 
   /// Append a decision record to the (current scope, flow) ledger.
   void note(std::uint64_t ts_us, const FlowKey& flow, std::string_view kind,
             std::initializer_list<EventField> fields, std::uint64_t pkt = 0) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (max_flows_ == 0) return;
-    Ledger& led = ledger_locked(current_scope(), flow);
+    if (max_flows_.load(std::memory_order_relaxed) == 0) return;
     ProvRecord r;
     r.ts_us = ts_us;
-    r.seq = led.next_seq++;
     r.kind = kind;
     r.pkt = pkt;
     r.fields.assign(fields.begin(), fields.end());
-    if (ledger_capacity_ == 0) return;
-    if (led.ring.size() >= ledger_capacity_) {
-      led.ring.pop_front();
-      led.dropped += 1;
+    Store& s = local_store();
+    std::uint64_t issued = 0;
+    {
+      std::lock_guard<std::mutex> lock(s.mutex);
+      auto [it, inserted] = s.ledgers.try_emplace(flow);
+      if (inserted) {
+        issued = s.budget->ledgers.issued.fetch_add(
+                     1, std::memory_order_relaxed) + 1;
+        s.ledger_order.emplace_back(issued, flow);
+      }
+      Ledger& led = it->second;
+      r.seq = led.next_seq++;
+      const std::size_t cap = ledger_capacity_.load(std::memory_order_relaxed);
+      if (cap != 0) {
+        while (led.ring.size() >= cap) {
+          led.ring.pop_front();
+          led.dropped += 1;
+        }
+        led.ring.push_back(std::move(r));
+      }
     }
-    led.ring.push_back(std::move(r));
+    // The new ledger holds the newest sequence number, so with
+    // max_flows_ >= 1 every victim is older.
+    if (issued != 0) evict_if_over(*s.budget, Table::kLedgers, issued);
   }
 
   /// note() for sites holding the serialized datagram: derives the flow key
@@ -279,95 +307,228 @@ class ProvenanceRecorder {
     note(ts_us, flow_key_of(datagram), kind, fields, id);
   }
 
+  /// A node registered in several scopes reports the lowest scope's real
+  /// (non-"wire") kind, or "wire" when no scope saw its origin.
   std::optional<NodeInfo> node(std::uint64_t id) const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = nodes_.find(id);
-    if (it == nodes_.end()) return std::nullopt;
-    return it->second;
+    std::optional<NodeInfo> out;
+    bool real = false;
+    for_each_store([&](const Store& s) {
+      if (real) return;
+      auto it = s.nodes.find(id);
+      if (it == s.nodes.end()) return;
+      real = it->second.kind != kWireKind;
+      if (!out || real) out = node_info(id, it->second);
+    });
+    return out;
   }
 
   /// Causal hops into `child`, deterministic order.
   std::vector<EdgeInfo> parents_of(std::uint64_t child) const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = edges_.find(child);
-    if (it == edges_.end()) return {};
-    std::vector<EdgeInfo> out = it->second;
-    std::sort(out.begin(), out.end(), edge_less);
-    return out;
+    std::vector<Hop> hops;
+    for_each_store([&](const Store& s) {
+      auto it = s.edges.find(child);
+      if (it == s.edges.end()) return;
+      hops.insert(hops.end(), it->second.begin(), it->second.end());
+    });
+    return merge_hops(std::move(hops));
   }
 
   /// Every ledger recorded for `flow`, across all scopes, sorted by scope.
   std::vector<LedgerSnapshot> ledgers_for(const FlowKey& flow) const {
-    std::lock_guard<std::mutex> lock(mutex_);
     std::vector<LedgerSnapshot> out;
-    for (const auto& [key, led] : ledgers_) {
-      if (!(key.second == flow)) continue;
-      out.push_back(snapshot_ledger_locked(key, led));
-    }
-    return out;  // std::map iteration is already (scope, flow)-ordered
+    for_each_store([&](const Store& s) {  // visits scopes in ascending order
+      auto it = s.ledgers.find(flow);
+      if (it != s.ledgers.end()) {
+        out.push_back(snapshot_ledger(s.scope, flow, it->second));
+      }
+    });
+    return out;
   }
 
   ProvSnapshot snapshot() const {
-    std::lock_guard<std::mutex> lock(mutex_);
     ProvSnapshot snap;
-    snap.nodes.reserve(nodes_.size());
-    for (const auto& [id, n] : nodes_) snap.nodes.push_back(n);
-    std::sort(snap.nodes.begin(), snap.nodes.end(),
-              [](const NodeInfo& a, const NodeInfo& b) { return a.id < b.id; });
-    for (const auto& [child, hops] : edges_) {
-      snap.edges.insert(snap.edges.end(), hops.begin(), hops.end());
+    std::vector<std::pair<std::uint64_t, Node>> nodes;
+    std::vector<Hop> hops;
+    for_each_store([&](const Store& s) {
+      nodes.insert(nodes.end(), s.nodes.begin(), s.nodes.end());
+      for (const auto& [child, store_hops] : s.edges) {
+        hops.insert(hops.end(), store_hops.begin(), store_hops.end());
+      }
+      // Stores come scope-ascending and each map is flow-ascending, so the
+      // ledgers arrive already sorted by (scope, flow).
+      for (const auto& [flow, led] : s.ledgers) {
+        LedgerSnapshot ls = snapshot_ledger(s.scope, flow, led);
+        snap.total_records += ls.total;
+        snap.ledgers.push_back(std::move(ls));
+      }
+    });
+    // One node per id: stable-sorting real kinds ahead of "wire" stubs keeps
+    // the lowest scope's real kind first.
+    std::stable_sort(nodes.begin(), nodes.end(),
+                     [](const auto& a, const auto& b) {
+                       return std::pair(a.first, a.second.kind == kWireKind) <
+                              std::pair(b.first, b.second.kind == kWireKind);
+                     });
+    snap.nodes.reserve(nodes.size());
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      if (i > 0 && nodes[i].first == nodes[i - 1].first) continue;
+      snap.nodes.push_back(node_info(nodes[i].first, nodes[i].second));
     }
-    std::sort(snap.edges.begin(), snap.edges.end(), edge_less);
-    for (const auto& [key, led] : ledgers_) {
-      LedgerSnapshot ls = snapshot_ledger_locked(key, led);
-      snap.total_records += ls.total;
-      snap.ledgers.push_back(std::move(ls));
-    }
-    snap.nodes_evicted = nodes_evicted_;
-    snap.ledgers_evicted = ledgers_evicted_;
+    snap.edges = merge_hops(std::move(hops));
+    std::lock_guard<std::mutex> lock(mutex_);
+    snap.nodes_evicted = budget_->nodes.evicted.load(std::memory_order_relaxed);
+    snap.ledgers_evicted =
+        budget_->ledgers.evicted.load(std::memory_order_relaxed);
     return snap;
   }
 
   void set_node_capacity(std::size_t cap) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    node_capacity_ = cap;
-    evict_nodes_locked();
+    node_capacity_.store(cap, std::memory_order_relaxed);
+    evict(*current_budget(), Table::kNodes, cap, cap, /*wait=*/true);
   }
   void set_ledger_capacity(std::size_t cap) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ledger_capacity_ = cap;
-    for (auto& [key, led] : ledgers_) {
-      while (led.ring.size() > ledger_capacity_) {
-        led.ring.pop_front();
-        led.dropped += 1;
+    ledger_capacity_.store(cap, std::memory_order_relaxed);
+    for_each_store([cap](Store& s) {
+      for (auto& [flow, led] : s.ledgers) {
+        while (led.ring.size() > cap) {
+          led.ring.pop_front();
+          led.dropped += 1;
+        }
       }
-    }
+    });
   }
   void set_max_flows(std::size_t cap) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    max_flows_ = cap;
-    evict_ledgers_locked();
+    max_flows_.store(cap, std::memory_order_relaxed);
+    evict(*current_budget(), Table::kLedgers, cap, cap, /*wait=*/true);
   }
 
+  /// Drop every store and start a new budget. A thread's cached store is
+  /// keyed by the generation this bumps, so the next record after a reset
+  /// lands in a fresh store; one racing with the reset lands in the
+  /// discarded one, as if it had come just before.
   void reset() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    nodes_.clear();
-    node_order_.clear();
-    edges_.clear();
-    ledgers_.clear();
-    ledger_order_.clear();
-    nodes_evicted_ = 0;
-    ledgers_evicted_ = 0;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      stores_.clear();
+      budget_ = std::make_shared<Budget>();
+      generation_.fetch_add(1, std::memory_order_release);
+    }
+    // Free the caller's old store now rather than on its next record.
+    cached_store().store.reset();
   }
 
  private:
-  using LedgerKey = std::pair<std::uint64_t, FlowKey>;
+  /// Node record: a packet's size and interned kind (index into kinds()).
+  struct Node {
+    std::uint32_t size = 0;
+    std::uint8_t kind = 0;
+  };
+
+  /// A stored hop with its global sequence number (first sighting wins).
+  struct Hop {
+    EdgeInfo edge;
+    std::uint64_t seq = 0;
+  };
 
   struct Ledger {
     std::deque<ProvRecord> ring;
     std::uint64_t dropped = 0;
     std::uint64_t next_seq = 0;
   };
+
+  /// One process-wide table budget: `issued` numbers every entry ever
+  /// created (so live = issued - evicted), `evicting` serialises evictors.
+  struct Tally {
+    alignas(64) std::atomic<std::uint64_t> issued{0};
+    alignas(64) std::atomic<std::uint64_t> evicted{0};
+    std::mutex evicting;
+  };
+
+  enum class Table { kNodes, kLedgers };
+
+  /// Everything reset() discards shares one Budget.
+  struct Budget {
+    Tally nodes;
+    Tally ledgers;
+    std::atomic<std::uint64_t> hops{0};
+    Tally& tally(Table table) {
+      return table == Table::kNodes ? nodes : ledgers;
+    }
+  };
+
+  /// One scope's tables. Entry orders are (sequence, key), oldest first.
+  struct Store {
+    Store(std::uint64_t scope_id, std::shared_ptr<Budget> shared)
+        : scope(scope_id), budget(std::move(shared)) {}
+    const std::uint64_t scope;
+    const std::shared_ptr<Budget> budget;
+    std::mutex mutex;  // guards everything below
+    std::unordered_map<std::uint64_t, Node> nodes;
+    std::deque<std::pair<std::uint64_t, std::uint64_t>> node_order;
+    std::unordered_map<std::uint64_t, std::vector<Hop>> edges;  // by child
+    std::map<FlowKey, Ledger> ledgers;
+    std::deque<std::pair<std::uint64_t, FlowKey>> ledger_order;
+
+    void evict_nodes_through(std::uint64_t watermark) {
+      while (!node_order.empty() && node_order.front().first <= watermark) {
+        nodes.erase(node_order.front().second);
+        edges.erase(node_order.front().second);
+        node_order.pop_front();
+      }
+      if (nodes.empty()) {  // a finished world's store keeps no buckets
+        decltype(nodes)().swap(nodes);
+        decltype(edges)().swap(edges);
+      }
+    }
+    void evict_ledgers_through(std::uint64_t watermark) {
+      while (!ledger_order.empty() &&
+             ledger_order.front().first <= watermark) {
+        ledgers.erase(ledger_order.front().second);
+        ledger_order.pop_front();
+      }
+    }
+  };
+
+  /// Interned node kinds. Kinds are call-site literals, a handful in all;
+  /// past kMaxKinds distinct names the last slot is shared.
+  static constexpr std::uint8_t kWireKind = 0;
+  static constexpr std::size_t kMaxKinds = 256;
+  struct KindTable {
+    KindTable() { names[kWireKind] = "wire"; }
+    std::mutex mutex;  // serialises appends; lookups read [0, size)
+    std::atomic<std::size_t> size{1};
+    std::array<std::string, kMaxKinds> names;
+  };
+  static KindTable& kinds() {
+    static KindTable table;
+    return table;
+  }
+  static std::uint8_t intern_kind(std::string_view kind) {
+    KindTable& t = kinds();
+    auto find = [&](std::size_t n) {
+      std::size_t i = 0;
+      while (i < n && t.names[i] != kind) ++i;
+      return i;
+    };
+    std::size_t n = t.size.load(std::memory_order_acquire);
+    std::size_t i = find(n);
+    if (i == n) {
+      std::lock_guard<std::mutex> lock(t.mutex);
+      n = t.size.load(std::memory_order_relaxed);
+      i = find(n);
+      if (i == n && n == kMaxKinds) {
+        i = kMaxKinds - 1;
+      } else if (i == n) {
+        t.names[n] = kind;
+        t.size.store(n + 1, std::memory_order_release);
+      }
+    }
+    return static_cast<std::uint8_t>(i);
+  }
+
+  static NodeInfo node_info(std::uint64_t id, const Node& n) {
+    return NodeInfo{id, n.size, kinds().names[n.kind]};
+  }
 
   ProvenanceRecorder() = default;
 
@@ -382,55 +543,180 @@ class ProvenanceRecorder {
            std::tuple(b.child, b.parent, b.kind, b.actor);
   }
 
-  void register_node_locked(std::uint64_t id, std::uint32_t size,
-                            std::string_view kind) {
-    auto [it, inserted] = nodes_.try_emplace(id);
-    if (inserted) {
-      it->second.id = id;
-      it->second.size = size;
-      it->second.kind = kind;
-      node_order_.push_back(id);
-      evict_nodes_locked();
-    } else if (it->second.kind == "wire" && kind != "wire") {
-      it->second.kind = kind;  // upgrade a stub to its real origin kind
+  /// One store cached per thread, with the scope and reset generation it
+  /// was looked up under.
+  struct Cached {
+    std::uint64_t generation = 0;
+    std::uint64_t scope = 0;
+    std::shared_ptr<Store> store;
+  };
+  static Cached& cached_store() {
+    thread_local Cached cached;
+    return cached;
+  }
+
+  /// The calling thread's store for its current scope. The cache is keyed
+  /// by (scope, reset generation), so the hot path takes only the store's
+  /// own lock; a miss creates the store under the directory lock.
+  Store& local_store() {
+    Cached& cached = cached_store();
+    const std::uint64_t scope = current_scope();
+    if (cached.store == nullptr || cached.scope != scope ||
+        cached.generation != generation_.load(std::memory_order_acquire)) {
+      std::lock_guard<std::mutex> lock(mutex_);
+      std::shared_ptr<Store>& slot = stores_[scope];
+      if (slot == nullptr) slot = std::make_shared<Store>(scope, budget_);
+      cached.generation = generation_.load(std::memory_order_relaxed);
+      cached.scope = scope;
+      cached.store = slot;
+    }
+    return *cached.store;
+  }
+
+  /// Visit every store in ascending scope order, each under its own lock.
+  /// Lock order is directory, then store; writers never hold a store lock
+  /// while taking the directory lock.
+  template <typename Fn>
+  void for_each_store(Fn&& fn) const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const auto& [scope, s] : stores_) {
+      std::lock_guard<std::mutex> store_lock(s->mutex);
+      fn(*s);
     }
   }
 
-  void evict_nodes_locked() {
-    while (nodes_.size() > node_capacity_ && !node_order_.empty()) {
-      std::uint64_t victim = node_order_.front();
-      node_order_.pop_front();
-      nodes_.erase(victim);
-      edges_.erase(victim);
-      nodes_evicted_ += 1;
-    }
+  std::shared_ptr<Budget> current_budget() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return budget_;
   }
 
-  Ledger& ledger_locked(std::uint64_t scope, const FlowKey& flow) {
-    LedgerKey key{scope, flow};
-    auto it = ledgers_.find(key);
-    if (it == ledgers_.end()) {
-      ledgers_.emplace(key, Ledger{});
-      ledger_order_.push_back(key);
-      evict_ledgers_locked();  // with max_flows_ >= 1 the victim is older
-      it = ledgers_.find(key);
+  /// Returns the new node's sequence number, or 0 if it already existed.
+  static std::uint64_t register_node_locked(Store& s, std::uint64_t id,
+                                            std::uint32_t size,
+                                            std::uint8_t kind) {
+    auto [it, inserted] = s.nodes.try_emplace(id, Node{size, kind});
+    if (!inserted) {
+      // Upgrade a stub to its real origin kind; a later "wire" sighting is
+      // a no-op.
+      if (it->second.kind == kWireKind) it->second.kind = kind;
+      return 0;
     }
-    return it->second;
+    const std::uint64_t seq =
+        s.budget->nodes.issued.fetch_add(1, std::memory_order_relaxed) + 1;
+    s.node_order.emplace_back(seq, id);
+    return seq;
   }
 
-  void evict_ledgers_locked() {
-    while (ledgers_.size() > max_flows_ && !ledger_order_.empty()) {
-      LedgerKey victim = ledger_order_.front();
-      ledger_order_.pop_front();
-      if (ledgers_.erase(victim) > 0) ledgers_evicted_ += 1;
+  static void add_hop_locked(Store& s, std::uint64_t ts_us,
+                             std::uint64_t parent, std::uint64_t child,
+                             std::string_view kind, std::string_view actor,
+                             std::string_view detail) {
+    std::vector<Hop>& hops = s.edges[child];
+    for (const Hop& h : hops) {
+      if (h.edge.parent == parent && h.edge.kind == kind &&
+          h.edge.actor == actor) {
+        return;
+      }
     }
+    if (hops.size() >= kMaxEdgesPerChild) return;
+    Hop h;
+    h.seq = s.budget->hops.fetch_add(1, std::memory_order_relaxed);
+    h.edge.child = child;
+    h.edge.parent = parent;
+    h.edge.ts_us = ts_us;
+    h.edge.kind = kind;
+    h.edge.actor = actor;
+    h.edge.detail = detail;
+    hops.push_back(std::move(h));
   }
 
-  LedgerSnapshot snapshot_ledger_locked(const LedgerKey& key,
-                                        const Ledger& led) const {
+  /// Hops from every store, merged as one table would have kept them: per
+  /// child, the first sighting of each (parent, kind, actor) in global
+  /// order, at most kMaxEdgesPerChild; then sorted by edge_less.
+  static std::vector<EdgeInfo> merge_hops(std::vector<Hop> hops) {
+    std::sort(hops.begin(), hops.end(), [](const Hop& a, const Hop& b) {
+      return std::pair(a.edge.child, a.seq) < std::pair(b.edge.child, b.seq);
+    });
+    std::vector<EdgeInfo> out;
+    out.reserve(hops.size());
+    std::size_t first = 0;  // index in `out` of the current child's hops
+    for (std::size_t i = 0; i < hops.size(); ++i) {
+      EdgeInfo& e = hops[i].edge;
+      if (i == 0 || e.child != hops[i - 1].edge.child) first = out.size();
+      if (out.size() - first >= kMaxEdgesPerChild) continue;
+      bool seen = false;
+      for (std::size_t j = first; j < out.size() && !seen; ++j) {
+        seen = out[j].parent == e.parent && out[j].kind == e.kind &&
+               out[j].actor == e.actor;
+      }
+      if (!seen) out.push_back(std::move(e));
+    }
+    std::sort(out.begin(), out.end(), edge_less);
+    return out;
+  }
+
+  std::size_t capacity(Table table) const {
+    return (table == Table::kNodes ? node_capacity_ : max_flows_)
+        .load(std::memory_order_relaxed);
+  }
+
+  /// Writer-side trigger, called after the store lock is released: evict
+  /// once the table passes its cap by more than cap/16, down to the cap.
+  void evict_if_over(Budget& budget, Table table, std::uint64_t issued) {
+    const std::size_t cap = capacity(table);
+    const std::size_t trigger = cap + cap / 16;
+    const std::uint64_t gone =
+        budget.tally(table).evicted.load(std::memory_order_relaxed);
+    if (issued <= gone || issued - gone <= trigger) return;
+    evict(budget, table, trigger, cap, /*wait=*/false);
+  }
+
+  /// If more than `trigger` entries are live, drop the oldest until `keep`
+  /// remain. Entry numbers are dense and eviction always takes the oldest,
+  /// so the live entries are exactly those numbered above `evicted`: the
+  /// k-way merge of the stores' FIFO fronts reduces to one watermark, and
+  /// each store pops its prefix at or below it under one lock. A writer
+  /// that finds another evictor running leaves the work to it.
+  void evict(Budget& budget, Table table, std::size_t trigger,
+             std::size_t keep, bool wait) {
+    Tally& tally = budget.tally(table);
+    std::unique_lock<std::mutex> evicting(tally.evicting, std::defer_lock);
+    if (wait) {
+      evicting.lock();
+    } else if (!evicting.try_lock()) {
+      return;
+    }
+    const std::uint64_t issued = tally.issued.load(std::memory_order_relaxed);
+    if (issued - tally.evicted.load(std::memory_order_relaxed) <= trigger) {
+      return;
+    }
+    const std::uint64_t watermark = issued - keep;
+
+    std::vector<std::shared_ptr<Store>> stores;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (budget_.get() != &budget) return;  // a reset discarded this budget
+      for (const auto& [scope, s] : stores_) stores.push_back(s);
+    }
+    // Every number up to the watermark was issued before it was read, under
+    // the lock of the store that holds it, so each store's prefix is final.
+    for (const auto& s : stores) {
+      std::lock_guard<std::mutex> lock(s->mutex);
+      if (table == Table::kNodes) {
+        s->evict_nodes_through(watermark);
+      } else {
+        s->evict_ledgers_through(watermark);
+      }
+    }
+    tally.evicted.store(watermark, std::memory_order_relaxed);
+  }
+
+  static LedgerSnapshot snapshot_ledger(std::uint64_t scope,
+                                        const FlowKey& flow,
+                                        const Ledger& led) {
     LedgerSnapshot ls;
-    ls.scope = key.first;
-    ls.flow = key.second;
+    ls.scope = scope;
+    ls.flow = flow;
     ls.records.assign(led.ring.begin(), led.ring.end());
     ls.dropped = led.dropped;
     ls.total = led.next_seq;
@@ -439,17 +725,13 @@ class ProvenanceRecorder {
 
   static constexpr std::size_t kMaxEdgesPerChild = 16;
 
-  mutable std::mutex mutex_;
-  std::unordered_map<std::uint64_t, NodeInfo> nodes_;
-  std::deque<std::uint64_t> node_order_;  // FIFO for eviction
-  std::unordered_map<std::uint64_t, std::vector<EdgeInfo>> edges_;
-  std::map<LedgerKey, Ledger> ledgers_;
-  std::deque<LedgerKey> ledger_order_;
-  std::size_t node_capacity_ = 65536;
-  std::size_t ledger_capacity_ = 512;
-  std::size_t max_flows_ = 1024;
-  std::uint64_t nodes_evicted_ = 0;
-  std::uint64_t ledgers_evicted_ = 0;
+  mutable std::mutex mutex_;  // guards budget_ and the store directory
+  std::shared_ptr<Budget> budget_ = std::make_shared<Budget>();
+  std::map<std::uint64_t, std::shared_ptr<Store>> stores_;  // by scope
+  alignas(64) std::atomic<std::uint64_t> generation_{1};  // bumped by reset()
+  std::atomic<std::size_t> node_capacity_{65536};
+  std::atomic<std::size_t> ledger_capacity_{512};
+  std::atomic<std::size_t> max_flows_{1024};
 };
 
 /// RAII scope binding for the calling thread; the round scheduler opens one

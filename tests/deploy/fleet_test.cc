@@ -7,10 +7,12 @@
 #include <set>
 
 #include "deploy/fleet.h"
+#include "deploy/flow_driver.h"
 #include "dpi/classifier.h"
 #include "dpi/match_program.h"
 #include "dpi/normalizer.h"
 #include "dpi/profiles.h"
+#include "obs/provenance/explain.h"
 #include "obs/snapshot.h"
 #include "obs/timeseries.h"
 #include "trace/generators.h"
@@ -342,6 +344,61 @@ TEST(FleetDeterminism, DeltaMergeIdenticalToFullMergeBaseline) {
       // The sparse encoding must actually compress the stream.
       EXPECT_LT(delta.shipped, delta.full);
     }
+  }
+}
+
+// Fleet-scope provenance: each shard world records under its own scope
+// (the shard seed), concurrently with the other shards. Below every cap, a
+// shard flow's explanation and the full ledger set are byte-identical at
+// any worker count.
+TEST(FleetDeterminism, PacketLevelProvenanceIdenticalAcrossWorkerCounts) {
+  struct Run {
+    std::string text;
+    std::string json;
+    std::string ledgers;
+    obs::prov::ProvSnapshot snap;
+  };
+  auto run_with = [](std::size_t workers) {
+    obs::reset_all();
+    obs::TimeSeriesStore::instance().reset();
+    FleetOptions opts;
+    opts.shards = 2;
+    opts.flows_per_wave = 32;
+    opts.waves = 2;  // 64 flows per shard
+    opts.workers = workers;
+    opts.flow_mode = FlowMode::kPacketLevel;
+    FleetEngine engine(opts);
+    const trace::ApplicationTrace trace = trace::amazon_video_trace(4 * 1024);
+    engine.run(trace);
+    // Shard 0's first flow: client block 10.1.0.0, first port.
+    const obs::prov::FlowKey flow = obs::prov::flow_key(
+        0x0a010000, PacketFlowDriver::kFirstPort, 0xc6336414,
+        trace.server_port, 6);
+    obs::prov::Explanation ex = obs::prov::explain_verdict(flow);
+    Run run{ex.text, ex.json, "",
+            obs::prov::ProvenanceRecorder::instance().snapshot()};
+    for (const obs::prov::LedgerSnapshot& led : run.snap.ledgers) {
+      run.ledgers += obs::prov::explain_ledger(led).json + "\n";
+    }
+    return run;
+  };
+  const Run serial = run_with(0);
+#if LIBERATE_OBS_LEVEL >= 2
+  EXPECT_NE(serial.text.find("decision path:"), std::string::npos)
+      << serial.text;
+  EXPECT_FALSE(serial.snap.ledgers.empty());
+#endif
+  // Below every cap: nothing was evicted, so no eviction order can leak.
+  EXPECT_EQ(serial.snap.nodes_evicted, 0u);
+  EXPECT_EQ(serial.snap.ledgers_evicted, 0u);
+  for (std::size_t workers : {std::size_t{2}, std::size_t{4}}) {
+    const Run parallel = run_with(workers);
+    EXPECT_EQ(serial.text, parallel.text) << "workers=" << workers;
+    EXPECT_EQ(serial.json, parallel.json) << "workers=" << workers;
+    EXPECT_EQ(serial.ledgers, parallel.ledgers) << "workers=" << workers;
+    EXPECT_EQ(serial.snap.total_records, parallel.snap.total_records);
+    EXPECT_EQ(serial.snap.nodes.size(), parallel.snap.nodes.size());
+    EXPECT_EQ(serial.snap.edges.size(), parallel.snap.edges.size());
   }
 }
 

@@ -6,11 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <future>
 #include <thread>
 
 #include "obs/provenance/chrome_trace.h"
 #include "obs/provenance/explain.h"
 #include "obs/snapshot.h"
+#include "util/thread_pool.h"
 
 namespace liberate::obs::prov {
 namespace {
@@ -142,6 +144,80 @@ TEST_F(ProvenanceTest, NodeTableEvictsFifoAndCountsEvictions) {
   ProvSnapshot snap = rec.snapshot();
   EXPECT_EQ(snap.nodes.size(), 4u);
   EXPECT_EQ(snap.nodes_evicted, 4u);
+}
+
+// The caps are process-wide, not per scope: eviction drops the oldest entry
+// across every scope's store first, so a newer scope's entries all survive.
+TEST_F(ProvenanceTest, NodeTableEvictsOldestAcrossScopes) {
+  auto& rec = ProvenanceRecorder::instance();
+  rec.set_node_capacity(8);
+  std::vector<std::uint64_t> older, newer;
+  {
+    ScopedProvScope scope(1);
+    for (std::uint8_t i = 0; i < 8; ++i) {
+      older.push_back(rec.packet(fake_ipv4(6, 1, 1, 2, 2, {1, i}), "tcp"));
+    }
+  }
+  {
+    ScopedProvScope scope(2);
+    for (std::uint8_t i = 0; i < 8; ++i) {
+      newer.push_back(rec.packet(fake_ipv4(6, 1, 1, 2, 2, {2, i}), "tcp"));
+    }
+  }
+  for (std::uint64_t id : newer) EXPECT_TRUE(rec.node(id).has_value());
+  for (std::uint64_t id : older) EXPECT_FALSE(rec.node(id).has_value());
+  ProvSnapshot snap = rec.snapshot();
+  EXPECT_EQ(snap.nodes.size(), 8u);
+  EXPECT_EQ(snap.nodes_evicted, 8u);
+}
+
+TEST_F(ProvenanceTest, LedgerSetEvictsOldestAcrossScopes) {
+  auto& rec = ProvenanceRecorder::instance();
+  rec.set_max_flows(8);
+  std::vector<FlowKey> flows;
+  for (std::uint16_t i = 0; i < 8; ++i) {
+    flows.push_back(flow_key(1, 1, 2, static_cast<std::uint16_t>(100 + i), 6));
+  }
+  for (std::uint64_t scope_id : {std::uint64_t{1}, std::uint64_t{2}}) {
+    ScopedProvScope scope(scope_id);
+    for (const FlowKey& f : flows) rec.note(scope_id, f, "dpi-skip", {});
+  }
+  for (const FlowKey& f : flows) {
+    auto ledgers = rec.ledgers_for(f);
+    ASSERT_EQ(ledgers.size(), 1u) << f.to_string();
+    EXPECT_EQ(ledgers[0].scope, 2u);
+  }
+  ProvSnapshot snap = rec.snapshot();
+  EXPECT_EQ(snap.ledgers.size(), 8u);
+  EXPECT_EQ(snap.ledgers_evicted, 8u);
+}
+
+// A thread caches its scope's store; reset() must cut that cache loose, so
+// the next record lands in a fresh store the snapshot sees, and nothing from
+// before the reset is written to or read back.
+TEST_F(ProvenanceTest, ResetDetachesCachedStores) {
+  auto& rec = ProvenanceRecorder::instance();
+  FlowKey flow = flow_key(1, 1, 2, 2, 17);
+  Bytes before = fake_ipv4(17, 1, 1, 2, 2, {1});
+  Bytes after = fake_ipv4(17, 1, 1, 2, 2, {2});
+  ScopedProvScope scope(0x5EED);
+  rec.packet(before, "udp");
+  rec.note(1, flow, "before-reset", {});
+  rec.reset();
+  EXPECT_TRUE(rec.snapshot().ledgers.empty());
+  rec.packet(after, "udp");
+  rec.note(2, flow, "after-reset", {});
+
+  ProvSnapshot snap = rec.snapshot();
+  ASSERT_EQ(snap.ledgers.size(), 1u);
+  EXPECT_EQ(snap.ledgers[0].scope, 0x5EEDu);
+  ASSERT_EQ(snap.ledgers[0].records.size(), 1u);
+  EXPECT_EQ(snap.ledgers[0].records[0].kind, "after-reset");
+  EXPECT_EQ(snap.ledgers[0].records[0].seq, 0u);  // a new ledger, not the old
+  EXPECT_EQ(snap.ledgers[0].total, 1u);
+  ASSERT_EQ(snap.nodes.size(), 1u);
+  EXPECT_EQ(snap.nodes[0].id, packet_id(after));
+  EXPECT_FALSE(rec.node(packet_id(before)).has_value());
 }
 
 TEST_F(ProvenanceTest, LedgerRingDropsOldestWithExactCounts) {
@@ -315,6 +391,111 @@ TEST_F(ProvenanceTest, ProvenanceConcurrencyManyThreads) {
   EXPECT_EQ(snap.ledgers.size(), static_cast<std::size_t>(kThreads));
   EXPECT_EQ(snap.total_records,
             static_cast<std::uint64_t>(kThreads) * kPerThread);
+}
+
+
+// One isolated world's story under its own scope: per-world packets, split
+// hops and ledger records, plus bytes every world shares, so the merged
+// view must deduplicate nodes and hops and upgrade a "wire" stub to the
+// kind only world 1 registered.
+void record_world(std::uint64_t scope_id) {
+  constexpr int kPackets = 64;
+  auto& rec = ProvenanceRecorder::instance();
+  ScopedProvScope scope(scope_id);
+  const auto w = static_cast<std::uint8_t>(scope_id);
+  Bytes shared_parent = fake_ipv4(6, 0x0a000001, 40000, 0xc6336414, 80, {0xAA});
+  Bytes shared_child =
+      fake_ipv4(6, 0x0a000001, 40000, 0xc6336414, 80, {0xAA, 0xBB});
+  if (scope_id == 1) rec.packet(shared_parent, "tcp");
+  rec.edge(5, shared_parent, shared_child, "split", "shared-actor",
+           "payload[0..1) of parent");
+  const FlowKey shared_flow = flow_key_of(shared_child);
+  const auto port = static_cast<std::uint16_t>(41000 + w);
+  for (int i = 0; i < kPackets; ++i) {
+    const auto b = static_cast<std::uint8_t>(i);
+    Bytes parent = fake_ipv4(6, 0x0a000001, port, 0xc6336414, 80, {w, b});
+    Bytes child = fake_ipv4(6, 0x0a000001, port, 0xc6336414, 80, {w, b, 0xFF});
+    rec.packet(parent, "tcp");
+    rec.edge(static_cast<std::uint64_t>(i), parent, child, "split",
+             "world-actor");
+    rec.note_pkt(static_cast<std::uint64_t>(i), child, "rules-evaluated",
+                 {fv("tried", std::int64_t{i})});
+    rec.note(static_cast<std::uint64_t>(i), shared_flow, "verdict",
+             {fv("class", "video"), fv("world", std::uint64_t{w})});
+  }
+}
+
+void expect_same_snapshot(const ProvSnapshot& a, const ProvSnapshot& b) {
+  ASSERT_EQ(a.nodes.size(), b.nodes.size());
+  for (std::size_t i = 0; i < a.nodes.size(); ++i) {
+    EXPECT_EQ(a.nodes[i].id, b.nodes[i].id) << "node " << i;
+    EXPECT_EQ(a.nodes[i].size, b.nodes[i].size) << "node " << i;
+    EXPECT_EQ(a.nodes[i].kind, b.nodes[i].kind) << "node " << i;
+  }
+  ASSERT_EQ(a.edges.size(), b.edges.size());
+  for (std::size_t i = 0; i < a.edges.size(); ++i) {
+    EXPECT_EQ(a.edges[i].child, b.edges[i].child) << "edge " << i;
+    EXPECT_EQ(a.edges[i].parent, b.edges[i].parent) << "edge " << i;
+    EXPECT_EQ(a.edges[i].ts_us, b.edges[i].ts_us) << "edge " << i;
+    EXPECT_EQ(a.edges[i].kind, b.edges[i].kind) << "edge " << i;
+    EXPECT_EQ(a.edges[i].actor, b.edges[i].actor) << "edge " << i;
+    EXPECT_EQ(a.edges[i].detail, b.edges[i].detail) << "edge " << i;
+  }
+  ASSERT_EQ(a.ledgers.size(), b.ledgers.size());
+  for (std::size_t i = 0; i < a.ledgers.size(); ++i) {
+    const LedgerSnapshot& la = a.ledgers[i];
+    const LedgerSnapshot& lb = b.ledgers[i];
+    EXPECT_EQ(la.scope, lb.scope) << "ledger " << i;
+    EXPECT_EQ(la.flow, lb.flow) << "ledger " << i;
+    EXPECT_EQ(la.dropped, lb.dropped) << "ledger " << i;
+    EXPECT_EQ(la.total, lb.total) << "ledger " << i;
+    ASSERT_EQ(la.records.size(), lb.records.size()) << "ledger " << i;
+    for (std::size_t r = 0; r < la.records.size(); ++r) {
+      const ProvRecord& ra = la.records[r];
+      const ProvRecord& rb = lb.records[r];
+      EXPECT_EQ(ra.ts_us, rb.ts_us);
+      EXPECT_EQ(ra.seq, rb.seq);
+      EXPECT_EQ(ra.kind, rb.kind);
+      EXPECT_EQ(ra.pkt, rb.pkt);
+      ASSERT_EQ(ra.fields.size(), rb.fields.size());
+      for (std::size_t f = 0; f < ra.fields.size(); ++f) {
+        EXPECT_EQ(ra.fields[f].key, rb.fields[f].key);
+        EXPECT_EQ(ra.fields[f].value, rb.fields[f].value);
+      }
+    }
+  }
+  EXPECT_EQ(a.nodes_evicted, b.nodes_evicted);
+  EXPECT_EQ(a.ledgers_evicted, b.ledgers_evicted);
+  EXPECT_EQ(a.total_records, b.total_records);
+}
+
+class ProvenanceShardedConcurrency : public ProvenanceTest {};
+
+// Four pool workers record four worlds at once, each into its own scope's
+// store; the merged snapshot must equal the serial run's field by field.
+TEST_F(ProvenanceShardedConcurrency, SnapshotEqualsSerialRun) {
+  auto& rec = ProvenanceRecorder::instance();
+  constexpr std::uint64_t kWorlds = 4;
+  for (std::uint64_t w = 1; w <= kWorlds; ++w) record_world(w);
+  const ProvSnapshot serial = rec.snapshot();
+  EXPECT_EQ(serial.ledgers.size(), 2 * kWorlds);
+  EXPECT_EQ(rec.node(packet_id(fake_ipv4(6, 0x0a000001, 40000, 0xc6336414,
+                                         80, {0xAA})))
+                ->kind,
+            "tcp");
+
+  for (int round = 0; round < 3; ++round) {
+    rec.reset();
+    {
+      ThreadPool pool(kWorlds);
+      std::vector<std::future<void>> done;
+      for (std::uint64_t w = 1; w <= kWorlds; ++w) {
+        done.push_back(pool.submit([w] { record_world(w); }));
+      }
+      for (auto& f : done) f.get();
+    }
+    expect_same_snapshot(serial, rec.snapshot());
+  }
 }
 
 }  // namespace
