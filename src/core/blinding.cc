@@ -19,46 +19,7 @@ trace::ApplicationTrace blind_range(const trace::ApplicationTrace& trace,
 
 namespace {
 
-struct Searcher {
-  const trace::ApplicationTrace& trace;
-  const ClassificationOracle& oracle;
-  BlindingStats* stats;
-  std::size_t granularity;
-  std::vector<MatchingField> fields;
-
-  bool still_classified(std::size_t msg, std::size_t off, std::size_t len) {
-    auto modified = blind_range(trace, msg, off, len);
-    if (stats != nullptr) {
-      stats->replay_rounds += 1;
-      stats->bytes_replayed += modified.total_bytes();
-    }
-    return oracle(modified);
-  }
-
-  /// Region is necessary iff blinding it breaks classification.
-  void explore(std::size_t msg, std::size_t off, std::size_t len) {
-    if (len == 0) return;
-    if (still_classified(msg, off, len)) return;  // nothing necessary inside
-    if (len <= granularity) {
-      fields.push_back(MatchingField{msg, off, len, {}});
-      return;
-    }
-    std::size_t half = len / 2;
-    explore(msg, off, half);
-    explore(msg, off + half, len - half);
-    // Fields can straddle the midpoint: if neither half alone is necessary
-    // but the whole region is, the boundary region holds a field fragment.
-    // The per-half recursion above already finds straddling fields because
-    // blinding *either* half of a keyword breaks it; no extra probe needed.
-  }
-};
-
-}  // namespace
-
-namespace {
-
-/// Sort, merge adjacent regions and attach original content — shared by the
-/// single-user and distributed searches.
+/// Sort, merge adjacent regions and attach original content.
 std::vector<MatchingField> merge_fields(const trace::ApplicationTrace& trace,
                                         std::vector<MatchingField> fields) {
   std::sort(fields.begin(), fields.end(),
@@ -90,7 +51,107 @@ std::vector<MatchingField> merge_fields(const trace::ApplicationTrace& trace,
   return merged;
 }
 
+/// search_matching_fields over the messages in `messages` only; returns the
+/// unmerged necessary regions.
+std::vector<MatchingField> search(const trace::ApplicationTrace& trace,
+                                  const std::vector<std::size_t>& messages,
+                                  const BatchClassificationOracle& oracle,
+                                  bool depth_first, BlindingStats* stats,
+                                  std::size_t granularity) {
+  granularity = std::max<std::size_t>(granularity, 1);
+  auto probe = [&](const std::vector<trace::ApplicationTrace>& probes) {
+    if (stats != nullptr) {
+      stats->replay_rounds += static_cast<int>(probes.size());
+      for (const auto& p : probes) stats->bytes_replayed += p.total_bytes();
+    }
+    return oracle(probes);
+  };
+
+  if (!probe({trace})[0]) return {};
+
+  struct Region {
+    std::size_t msg, off, len;
+    bool whole_message;
+  };
+  std::vector<Region> frontier;
+  for (std::size_t m : messages) {
+    std::size_t len = trace.messages[m].payload.size();
+    if (len > 0) frontier.push_back(Region{m, 0, len, true});
+  }
+
+  std::vector<MatchingField> fields;
+  while (!frontier.empty()) {
+    const std::size_t width = depth_first ? 1 : frontier.size();
+    std::vector<trace::ApplicationTrace> probes;
+    probes.reserve(width);
+    for (std::size_t i = 0; i < width; ++i) {
+      const Region& r = frontier[i];
+      probes.push_back(blind_range(trace, r.msg, r.off, r.len));
+    }
+    const std::vector<bool> classified = probe(probes);
+
+    std::vector<Region> next;
+    for (std::size_t i = 0; i < width; ++i) {
+      const Region& r = frontier[i];
+      if (classified[i]) continue;  // nothing necessary inside
+      if (depth_first && r.whole_message) {
+        // Probed again before splitting: the recursive search this replaces
+        // did so, and the round counts in EXPERIMENTS.md include it.
+        next.push_back(Region{r.msg, r.off, r.len, false});
+      } else if (r.len <= granularity) {
+        fields.push_back(MatchingField{r.msg, r.off, r.len, {}});
+      } else {
+        const std::size_t half = r.len / 2;
+        next.push_back(Region{r.msg, r.off, half, false});
+        next.push_back(Region{r.msg, r.off + half, r.len - half, false});
+      }
+    }
+    next.insert(next.end(), frontier.begin() + static_cast<std::ptrdiff_t>(width),
+                frontier.end());
+    frontier = std::move(next);
+  }
+  return fields;
+}
+
+std::vector<std::size_t> all_messages(const trace::ApplicationTrace& trace) {
+  std::vector<std::size_t> messages(trace.messages.size());
+  for (std::size_t m = 0; m < messages.size(); ++m) messages[m] = m;
+  return messages;
+}
+
+/// A single-probe oracle as a batch oracle.
+BatchClassificationOracle one_at_a_time(const ClassificationOracle& oracle) {
+  return [&oracle](const std::vector<trace::ApplicationTrace>& probes) {
+    std::vector<bool> verdicts;
+    for (const auto& p : probes) verdicts.push_back(oracle(p));
+    return verdicts;
+  };
+}
+
 }  // namespace
+
+std::vector<MatchingField> search_matching_fields(
+    const trace::ApplicationTrace& trace,
+    const BatchClassificationOracle& oracle, bool depth_first,
+    BlindingStats* stats, std::size_t granularity) {
+  return merge_fields(trace, search(trace, all_messages(trace), oracle,
+                                    depth_first, stats, granularity));
+}
+
+std::vector<MatchingField> find_matching_fields(
+    const trace::ApplicationTrace& trace, const ClassificationOracle& oracle,
+    BlindingStats* stats, std::size_t granularity) {
+  return search_matching_fields(trace, one_at_a_time(oracle),
+                                /*depth_first=*/true, stats, granularity);
+}
+
+std::vector<MatchingField> find_matching_fields_batched(
+    const trace::ApplicationTrace& trace,
+    const BatchClassificationOracle& oracle, BlindingStats* stats,
+    std::size_t granularity) {
+  return search_matching_fields(trace, oracle, /*depth_first=*/false, stats,
+                                granularity);
+}
 
 std::vector<MatchingField> find_matching_fields_distributed(
     const trace::ApplicationTrace& trace,
@@ -101,106 +162,21 @@ std::vector<MatchingField> find_matching_fields_distributed(
   if (stats != nullptr) stats->per_user.assign(users.size(), BlindingStats{});
 
   // Each user confirms the baseline once, then probes only their share of
-  // the trace's messages (round-robin assignment).
+  // the trace's messages (round-robin assignment); a user whose vantage
+  // sees no differentiation stops after the baseline.
   for (std::size_t u = 0; u < users.size(); ++u) {
-    BlindingStats user_stats;
-    Searcher s{trace, users[u], &user_stats,
-               std::max<std::size_t>(granularity, 1), {}};
-    user_stats.replay_rounds += 1;
-    user_stats.bytes_replayed += trace.total_bytes();
-    if (!users[u](trace)) {
-      if (stats != nullptr) (*stats).per_user[u] = user_stats;
-      continue;  // this user's vantage sees no differentiation: skip
-    }
+    std::vector<std::size_t> share;
     for (std::size_t m = u; m < trace.messages.size(); m += users.size()) {
-      const Bytes& payload = trace.messages[m].payload;
-      if (payload.empty()) continue;
-      if (s.still_classified(m, 0, payload.size())) continue;
-      s.explore(m, 0, payload.size());
+      share.push_back(m);
     }
-    fields.insert(fields.end(), s.fields.begin(), s.fields.end());
-    if (stats != nullptr) (*stats).per_user[u] = user_stats;
-  }
-  return merge_fields(trace, fields);
-}
-
-std::vector<MatchingField> find_matching_fields_batched(
-    const trace::ApplicationTrace& trace,
-    const BatchClassificationOracle& oracle, BlindingStats* stats,
-    std::size_t granularity) {
-  granularity = std::max<std::size_t>(granularity, 1);
-
-  auto probe_batch = [&](const std::vector<trace::ApplicationTrace>& probes) {
-    if (stats != nullptr) {
-      stats->replay_rounds += static_cast<int>(probes.size());
-      for (const auto& p : probes) stats->bytes_replayed += p.total_bytes();
-    }
-    return oracle(probes);
-  };
-
-  // Baseline: the unmodified trace must be classified, or there are no
-  // matching fields to find.
-  if (!probe_batch({trace})[0]) return {};
-
-  struct Region {
-    std::size_t msg, off, len;
-  };
-  std::vector<Region> frontier;
-  for (std::size_t m = 0; m < trace.messages.size(); ++m) {
-    std::size_t len = trace.messages[m].payload.size();
-    if (len > 0) frontier.push_back(Region{m, 0, len});
-  }
-
-  std::vector<MatchingField> fields;
-  while (!frontier.empty()) {
-    std::vector<trace::ApplicationTrace> probes;
-    probes.reserve(frontier.size());
-    for (const Region& r : frontier) {
-      probes.push_back(blind_range(trace, r.msg, r.off, r.len));
-    }
-    std::vector<bool> verdicts = probe_batch(probes);
-
-    std::vector<Region> next;
-    for (std::size_t i = 0; i < frontier.size(); ++i) {
-      const Region& r = frontier[i];
-      if (verdicts[i]) continue;  // still classified: nothing necessary here
-      if (r.len <= granularity) {
-        fields.push_back(MatchingField{r.msg, r.off, r.len, {}});
-        continue;
-      }
-      std::size_t half = r.len / 2;
-      next.push_back(Region{r.msg, r.off, half});
-      next.push_back(Region{r.msg, r.off + half, r.len - half});
-    }
-    frontier = std::move(next);
+    BlindingStats user_stats;
+    std::vector<MatchingField> found =
+        search(trace, share, one_at_a_time(users[u]), /*depth_first=*/true,
+               &user_stats, granularity);
+    fields.insert(fields.end(), found.begin(), found.end());
+    if (stats != nullptr) stats->per_user[u] = user_stats;
   }
   return merge_fields(trace, std::move(fields));
-}
-
-std::vector<MatchingField> find_matching_fields(
-    const trace::ApplicationTrace& trace, const ClassificationOracle& oracle,
-    BlindingStats* stats, std::size_t granularity) {
-  Searcher s{trace, oracle, stats, std::max<std::size_t>(granularity, 1), {}};
-
-  // Baseline: the unmodified trace must be classified, or there are no
-  // matching fields to find.
-  {
-    if (stats != nullptr) {
-      stats->replay_rounds += 1;
-      stats->bytes_replayed += trace.total_bytes();
-    }
-    if (!oracle(trace)) return {};
-  }
-
-  for (std::size_t m = 0; m < trace.messages.size(); ++m) {
-    const Bytes& payload = trace.messages[m].payload;
-    if (payload.empty()) continue;
-    // One cheap whole-message probe prunes messages with no matching bytes.
-    if (s.still_classified(m, 0, payload.size())) continue;
-    s.explore(m, 0, payload.size());
-  }
-
-  return merge_fields(trace, std::move(s.fields));
 }
 
 }  // namespace liberate::core

@@ -70,20 +70,32 @@ std::vector<MatchingField> find_matching_fields_distributed(
     const std::vector<ClassificationOracle>& users,
     DistributedBlindingStats* stats, std::size_t granularity = 4);
 
-/// Batch oracle: classify many modified traces at once. Backed by the
-/// parallel RoundScheduler, one wave of independent replay rounds; verdicts
-/// come back in submission order.
+/// Batch oracle: classify many modified traces at once (one wave of
+/// independent replay rounds); verdicts come back in submission order.
 using BatchClassificationOracle =
     std::function<std::vector<bool>(const std::vector<trace::ApplicationTrace>&)>;
 
-/// Breadth-first variant of find_matching_fields: instead of recursing
-/// depth-first one probe at a time, it probes a whole frontier of candidate
-/// regions per wave (all messages, then all halves of the necessary
-/// regions, ...), so every wave fans out across the scheduler's workers.
-/// The probe *set* it explores equals the recursive search's (minus the
-/// recursive variant's duplicate whole-message probe), and the wave
-/// structure is fixed by the trace alone — byte-identical fields and round
-/// counts regardless of worker count or interleaving.
+/// The blinding search, written once. Every step probes the front of a
+/// frontier of candidate regions (each message whole, then the halves of
+/// every necessary region) and puts the children of the necessary ones
+/// ahead of the rest:
+///   * `depth_first`: one probe per oracle call, so the regions are walked
+///     depth-first and the search can run in one shared world. A necessary
+///     message is probed a second time before it is split (the recursive
+///     search probed it once to prune it and again on entering it).
+///   * otherwise: the whole frontier per call, one wave per depth level,
+///     each message probed once. The wave structure is fixed by the trace
+///     alone, so fields and round counts do not depend on worker count or
+///     interleaving.
+/// Both start with a baseline probe of the unmodified trace: if it is not
+/// classified there is nothing to find.
+std::vector<MatchingField> search_matching_fields(
+    const trace::ApplicationTrace& trace,
+    const BatchClassificationOracle& oracle, bool depth_first,
+    BlindingStats* stats, std::size_t granularity = 4);
+
+/// Breadth-first entry point (one wave per level) for batch oracles backed
+/// by a parallel RoundScheduler.
 std::vector<MatchingField> find_matching_fields_batched(
     const trace::ApplicationTrace& trace,
     const BatchClassificationOracle& oracle, BlindingStats* stats,

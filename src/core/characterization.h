@@ -12,7 +12,7 @@
 #include <optional>
 
 #include "core/blinding.h"
-#include "core/replay.h"
+#include "core/round_executor.h"
 
 namespace liberate::core {
 
@@ -65,22 +65,19 @@ struct CharacterizationOptions {
   std::size_t max_ttl_probe = 16;
 };
 
+/// Characterization (§4.2, §5.1) over any round executor: port
+/// sensitivity, blinding, the prepend / packet-limit sweep and the TTL
+/// sweep. In a shared world every sweep goes one probe at a time and stops
+/// at its first hit, and blinding walks depth-first; over isolated worlds
+/// the prepend ceiling is one wave, the TTL sweep goes in waves of 8 and
+/// blinding goes breadth-first, one wave per level.
+CharacterizationReport characterize_classifier(
+    RoundExecutor& rounds, const trace::ApplicationTrace& trace,
+    const CharacterizationOptions& options = {});
+
+/// Characterization in `runner`'s one shared world.
 CharacterizationReport characterize_classifier(
     ReplayRunner& runner, const trace::ApplicationTrace& trace,
     const CharacterizationOptions& options = {});
-
-// Probe-construction helpers shared with the parallel characterizer
-// (core/parallel_analysis) so both build byte-identical probe traces.
-
-/// Insert `count` random messages of `size` bytes before message
-/// `before_index`, sent by the same endpoint as that message (a prepend
-/// probe must land in the direction the classifier counts).
-trace::ApplicationTrace with_prepended_probe(const trace::ApplicationTrace& trace,
-                                             std::size_t before_index,
-                                             std::size_t count,
-                                             std::size_t size, Rng& rng);
-
-/// Index of the first client-sent message (0 when none).
-std::size_t first_client_message_index(const trace::ApplicationTrace& trace);
 
 }  // namespace liberate::core

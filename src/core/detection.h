@@ -9,7 +9,7 @@
 
 #include <vector>
 
-#include "core/replay.h"
+#include "core/round_executor.h"
 
 namespace liberate::core {
 
@@ -32,6 +32,15 @@ struct DetectionResult {
   double virtual_seconds = 0;
 };
 
+/// Detection over any round executor: the bit-inverted control and the
+/// original replay as one pair (control first), plus the §5.1
+/// random-payload control when inversion is detected.
+DetectionResult detect_differentiation(RoundExecutor& rounds,
+                                       const trace::ApplicationTrace& trace,
+                                       std::uint16_t server_port_override = 0,
+                                       std::uint32_t server_ip_override = 0);
+
+/// Detection in `runner`'s one shared world.
 DetectionResult detect_differentiation(ReplayRunner& runner,
                                        const trace::ApplicationTrace& trace,
                                        std::uint16_t server_port_override = 0,
@@ -43,10 +52,5 @@ DetectionResult detect_differentiation(ReplayRunner& runner,
 DetectionResult detect_differentiation_robust(
     ReplayRunner& runner, const trace::ApplicationTrace& trace,
     const std::vector<std::uint32_t>& unseen_server_ips);
-
-/// The §5.1 random-payload control: same message structure, random bytes.
-/// Shared with the parallel detector so both build the identical control.
-trace::ApplicationTrace randomized_control_trace(
-    const trace::ApplicationTrace& trace, std::uint64_t seed);
 
 }  // namespace liberate::core

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "obs/obs.h"
+
 namespace liberate::core {
 
 bool cheaper(const Overhead& a, const Overhead& b) {
@@ -14,32 +16,45 @@ bool cheaper(const Overhead& a, const Overhead& b) {
   return a.extra_bytes < b.extra_bytes;
 }
 
-EvasionEvaluator::EvasionEvaluator(ReplayRunner& runner,
-                                   const CharacterizationReport& report)
-    : runner_(runner), report_(report), suite_(build_full_suite()) {
-  context_.matching_snippets = report.snippets();
-  context_.decoy_payload = decoy_request_payload();
+TechniqueContext evaluation_context(const CharacterizationReport& report) {
+  TechniqueContext context;
+  context.matching_snippets = report.snippets();
+  context.decoy_payload = decoy_request_payload();
   if (report.middlebox_hops) {
-    context_.middlebox_ttl = static_cast<std::uint8_t>(*report.middlebox_hops);
+    context.middlebox_ttl = static_cast<std::uint8_t>(*report.middlebox_hops);
   }
+  return context;
 }
 
-TechniqueOutcome EvasionEvaluator::evaluate_one(
-    Technique& technique, const trace::ApplicationTrace& trace) {
+namespace {
+
+/// One technique's round. Port handling mirrors characterization: a
+/// port-sensitive classifier only reacts on the trace port; otherwise fresh
+/// ports avoid escalation.
+RoundRequest technique_round(const trace::ApplicationTrace& trace,
+                             const Technique& technique,
+                             const TechniqueContext& context,
+                             const CharacterizationReport& report,
+                             std::uint16_t& next_port) {
+  RoundRequest req;
+  req.trace = trace;
+  req.technique = technique.name();
+  req.context = context;
+  if (!report.port_sensitive) req.server_port_override = next_port++;
+  return req;
+}
+
+/// A technique's row; `round` is null when the technique was not replayed.
+TechniqueOutcome outcome_of(const Technique& technique,
+                            const TechniqueContext& context,
+                            const RoundResult* round) {
   TechniqueOutcome outcome;
   outcome.technique = technique.name();
   outcome.category = technique.category();
-  outcome.overhead = technique.overhead(context_);
-
-  ReplayOptions opts;
-  opts.technique = &technique;
-  opts.context = context_;
-  // Port handling mirrors characterization: a port-sensitive classifier only
-  // reacts on the trace port; otherwise fresh ports avoid escalation.
-  if (!report_.port_sensitive) opts.server_port_override = next_port_++;
-
-  ReplayOutcome replay = runner_.run(trace, opts);
-  outcome.signal_absent = !runner_.differentiated(replay);
+  outcome.overhead = technique.overhead(context);
+  if (round == nullptr) return outcome;
+  const ReplayOutcome& replay = round->outcome;
+  outcome.signal_absent = !round->differentiated;
   outcome.payload_intact = replay.payload_intact;
   outcome.completed = replay.completed;
   outcome.changed_classification = outcome.signal_absent && replay.completed;
@@ -51,67 +66,128 @@ TechniqueOutcome EvasionEvaluator::evaluate_one(
   return outcome;
 }
 
-EvaluationResult EvasionEvaluator::evaluate(
-    const trace::ApplicationTrace& trace, bool run_pruned) {
+/// The evaluation phase, written once: one round per technique that runs,
+/// one at a time in a shared world and as a single wave over isolated
+/// worlds (the biggest fan-out of the pipeline).
+EvaluationResult evaluate_suite(RoundExecutor& rounds,
+                                const TechniqueSuite& suite,
+                                const TechniqueContext& context,
+                                const CharacterizationReport& report,
+                                std::uint16_t& next_port,
+                                const trace::ApplicationTrace& trace,
+                                bool run_pruned) {
   EvaluationResult result;
-  const int rounds0 = runner_.rounds();
-  const std::uint64_t bytes0 = runner_.bytes_offered();
-  const double t0 = runner_.virtual_seconds_elapsed();
+  CostMeter cost(rounds);
 
   PruningFacts facts;
-  facts.inspects_all_packets = report_.inspects_all_packets;
+  facts.inspects_all_packets = report.inspects_all_packets;
   facts.udp_flow = trace.transport == trace::Transport::kUdp;
-  std::vector<Technique*> ordered = ordered_suite(suite_, facts);
+  std::vector<Technique*> ordered = ordered_suite(suite, facts);
 
-  // Techniques outside the ordered set are pruned; optionally still run them
-  // (full-matrix mode).
-  for (const auto& owned : suite_) {
-    Technique* t = owned.get();
-    bool in_ordered =
-        std::find(ordered.begin(), ordered.end(), t) != ordered.end();
-    if (in_ordered) continue;
-    TechniqueOutcome outcome;
-    outcome.technique = t->name();
-    outcome.category = t->category();
-    outcome.pruned = true;
-    // Transport-inapplicable techniques are never run even in matrix mode.
-    bool applicable = facts.udp_flow ? t->applies_to_udp() : t->applies_to_tcp();
-    if (run_pruned && applicable) {
-      TechniqueOutcome run = evaluate_one(*t, trace);
-      run.pruned = true;
-      outcome = run;
-      outcome.pruned = true;
+  // Report rows: techniques outside the ordered set are pruned and come
+  // first; in full-matrix mode they still run, unless they do not apply to
+  // the transport at all. Then the ordered suite.
+  struct Row {
+    const Technique* technique;
+    bool pruned;
+    bool runs;
+  };
+  std::vector<Row> rows;
+  for (const auto& owned : suite) {
+    const Technique* t = owned.get();
+    if (std::find(ordered.begin(), ordered.end(), t) != ordered.end()) {
+      continue;
+    }
+    bool applicable =
+        facts.udp_flow ? t->applies_to_udp() : t->applies_to_tcp();
+    rows.push_back(Row{t, true, run_pruned && applicable});
+  }
+  for (const Technique* t : ordered) rows.push_back(Row{t, false, true});
+
+  std::vector<const Technique*> runs;
+  for (const Row& row : rows) {
+    if (row.runs) runs.push_back(row.technique);
+  }
+  std::vector<RoundResult> results = sweep(
+      rounds, runs.size(), wave_width(rounds, runs.size()),
+      [&](std::size_t i) {
+        return technique_round(trace, *runs[i], context, report, next_port);
+      },
+      [](std::size_t, const RoundResult&) { return false; });
+  cost.absorb(results);
+
+  std::size_t next_result = 0;
+  for (const Row& row : rows) {
+    const RoundResult* round = row.runs ? &results[next_result++] : nullptr;
+    TechniqueOutcome outcome = outcome_of(*row.technique, context, round);
+    outcome.pruned = row.pruned;
+    LIBERATE_COUNTER_ADD("core.techniques_evaluated", 1);
+    {
+      const char* verdict = round == nullptr ? "pruned"
+                            : outcome.evaded ? "evaded"
+                                             : "failed";
+      std::uint64_t ts_us =
+          round == nullptr
+              ? 0
+              : static_cast<std::uint64_t>(round->virtual_seconds * 1e6);
+      LIBERATE_OBS_EVENT(
+          ts_us, "core", "technique_evaluated",
+          liberate::obs::fv("technique", outcome.technique),
+          liberate::obs::fv("verdict", verdict),
+          liberate::obs::fv("cost_extra_bytes", outcome.overhead.extra_bytes),
+          liberate::obs::fv("cost_extra_packets",
+                            outcome.overhead.extra_packets));
+      (void)verdict;
+      (void)ts_us;
     }
     result.outcomes.push_back(outcome);
   }
-  for (Technique* t : ordered) {
-    result.outcomes.push_back(evaluate_one(*t, trace));
-  }
 
-  // Select the cheapest working technique.
+  // Select the cheapest working technique; outcome order is deterministic,
+  // so ties break identically in every backend.
   const TechniqueOutcome* best = nullptr;
-  const Technique* best_technique = nullptr;
   for (const auto& o : result.outcomes) {
     if (!o.evaded || o.pruned) continue;
-    const Technique* t = nullptr;
-    for (const auto& owned : suite_) {
-      if (owned->name() == o.technique) {
-        t = owned.get();
-        break;
-      }
-    }
-    if (t == nullptr) continue;
-    if (best == nullptr ||
-        cheaper(t->overhead(context_), best_technique->overhead(context_))) {
-      best = &o;
-      best_technique = t;
-    }
+    if (best == nullptr || cheaper(o.overhead, best->overhead)) best = &o;
   }
   if (best != nullptr) result.selected = best->technique;
-  result.replay_rounds = runner_.rounds() - rounds0;
-  result.bytes_replayed = runner_.bytes_offered() - bytes0;
-  result.virtual_seconds = runner_.virtual_seconds_elapsed() - t0;
+  result.replay_rounds = cost.rounds();
+  result.bytes_replayed = cost.bytes();
+  result.virtual_seconds = cost.virtual_seconds();
   return result;
+}
+
+}  // namespace
+
+EvaluationResult evaluate_techniques(RoundExecutor& rounds,
+                                     const CharacterizationReport& report,
+                                     const trace::ApplicationTrace& trace,
+                                     bool run_pruned) {
+  std::uint16_t next_port = 27000;
+  return evaluate_suite(rounds, build_full_suite(), evaluation_context(report),
+                        report, next_port, trace, run_pruned);
+}
+
+EvasionEvaluator::EvasionEvaluator(ReplayRunner& runner,
+                                   const CharacterizationReport& report)
+    : runner_(runner),
+      report_(report),
+      context_(evaluation_context(report)),
+      suite_(build_full_suite()) {}
+
+EvaluationResult EvasionEvaluator::evaluate(
+    const trace::ApplicationTrace& trace, bool run_pruned) {
+  SharedWorld world(runner_, &suite_);
+  return evaluate_suite(world, suite_, context_, report_, next_port_, trace,
+                        run_pruned);
+}
+
+TechniqueOutcome EvasionEvaluator::evaluate_one(
+    Technique& technique, const trace::ApplicationTrace& trace) {
+  const RoundResult round = SharedWorld(runner_).run_round(
+      technique_round(trace, technique, context_, report_, next_port_),
+      &technique);
+  return outcome_of(technique, context_, &round);
 }
 
 }  // namespace liberate::core

@@ -43,6 +43,20 @@ struct EvaluationResult {
   double virtual_seconds = 0;
 };
 
+/// The context techniques run with after characterization: the matching
+/// snippets, the decoy payload and the localized middlebox TTL.
+TechniqueContext evaluation_context(const CharacterizationReport& report);
+
+/// Evaluation (§4.3) over any round executor, with a fresh technique suite
+/// and context derived from `report`: the (pruned, ordered) suite goes one
+/// round at a time in a shared world and as one wave over isolated worlds.
+EvaluationResult evaluate_techniques(RoundExecutor& rounds,
+                                     const CharacterizationReport& report,
+                                     const trace::ApplicationTrace& trace,
+                                     bool run_pruned = false);
+
+/// Evaluation in one shared world, with a suite, context and port counter
+/// that persist across calls.
 class EvasionEvaluator {
  public:
   EvasionEvaluator(ReplayRunner& runner, const CharacterizationReport& report);
@@ -53,7 +67,8 @@ class EvasionEvaluator {
   EvaluationResult evaluate(const trace::ApplicationTrace& trace,
                             bool run_pruned = false);
 
-  /// Evaluate one technique (one replay round).
+  /// Evaluate one technique (one replay round), which need not come from
+  /// the suite.
   TechniqueOutcome evaluate_one(Technique& technique,
                                 const trace::ApplicationTrace& trace);
 
@@ -65,7 +80,8 @@ class EvasionEvaluator {
   ReplayRunner& runner_;
   const CharacterizationReport& report_;
   TechniqueContext context_;
-  std::vector<std::unique_ptr<Technique>> suite_;
+  TechniqueSuite suite_;
+  /// Ports for evaluation rounds; continues across evaluate_one calls.
   std::uint16_t next_port_ = 27000;
 };
 

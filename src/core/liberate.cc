@@ -7,39 +7,62 @@ namespace liberate::core {
 Liberate::Liberate(dpi::Environment& env, std::uint64_t seed)
     : env_(env), runner_(env, seed) {}
 
-SessionReport Liberate::analyze(const trace::ApplicationTrace& trace) {
+SessionReport analyze(RoundExecutor& rounds,
+                      const trace::ApplicationTrace& trace) {
   SessionReport report;
-  const int rounds0 = runner_.rounds();
-  const std::uint64_t bytes0 = runner_.bytes_offered();
-  const double t0 = runner_.virtual_seconds_elapsed();
+  CostMeter total(rounds);
 
-  // Phase 1: differentiation detection.
+  // Phase spans are stamped with accumulated virtual time: each phase span
+  // covers [virtual time burned before it, virtual time burned after it],
+  // which is deterministic across pool sizes (unlike wall clock).
+  auto virtual_us = [&report]() {
+    return static_cast<std::uint64_t>((report.detection.virtual_seconds +
+                                       report.characterization.virtual_seconds +
+                                       report.evaluation.virtual_seconds) *
+                                      1e6);
+  };
+  (void)virtual_us;
+
   {
+    LIBERATE_OBS_SPAN("core.phase.detect", virtual_us);
     LIBERATE_COST_SCOPE(kDetection);
-    report.detection = detect_differentiation(runner_, trace);
+    report.detection = detect_differentiation(rounds, trace);
   }
+  total.add(report.detection.rounds, report.detection.bytes_used,
+            report.detection.virtual_seconds);
   if (report.detection.content_based) {
-    // Phase 2: characterization.
     report.ran_characterization = true;
     CharacterizationOptions copts;
     copts.unique_port_per_round = true;  // harmless when not needed
     {
+      LIBERATE_OBS_SPAN("core.phase.characterize", virtual_us);
       LIBERATE_COST_SCOPE(kCharacterization);
-      report.characterization = characterize_classifier(runner_, trace, copts);
+      report.characterization = characterize_classifier(rounds, trace, copts);
     }
-
-    // Phase 3: evasion evaluation (pruned production mode).
-    LIBERATE_COST_SCOPE(kEvaluation);
-    EvasionEvaluator evaluator(runner_, report.characterization);
-    report.evaluation = evaluator.evaluate(trace, /*run_pruned=*/false);
+    total.add(report.characterization.replay_rounds,
+              report.characterization.bytes_replayed,
+              report.characterization.virtual_seconds);
+    {
+      LIBERATE_OBS_SPAN("core.phase.evaluate", virtual_us);
+      LIBERATE_COST_SCOPE(kEvaluation);
+      report.evaluation = evaluate_techniques(rounds, report.characterization,
+                                              trace, /*run_pruned=*/false);
+    }
+    total.add(report.evaluation.replay_rounds,
+              report.evaluation.bytes_replayed,
+              report.evaluation.virtual_seconds);
     report.selected_technique = report.evaluation.selected;
   }
 
-  report.total_rounds = runner_.rounds() - rounds0;
-  report.total_bytes = runner_.bytes_offered() - bytes0;
-  report.total_virtual_minutes =
-      (runner_.virtual_seconds_elapsed() - t0) / 60.0;
+  report.total_rounds = total.rounds();
+  report.total_bytes = total.bytes();
+  report.total_virtual_minutes = total.virtual_seconds() / 60.0;
   return report;
+}
+
+SessionReport Liberate::analyze(const trace::ApplicationTrace& trace) {
+  SharedWorld world(runner_);
+  return core::analyze(world, trace);
 }
 
 std::unique_ptr<Technique> Liberate::instantiate(
@@ -52,14 +75,7 @@ std::unique_ptr<Technique> Liberate::instantiate(
 }
 
 TechniqueContext deployment_context(const SessionReport& report) {
-  TechniqueContext ctx;
-  ctx.matching_snippets = report.characterization.snippets();
-  ctx.decoy_payload = decoy_request_payload();
-  if (report.characterization.middlebox_hops) {
-    ctx.middlebox_ttl =
-        static_cast<std::uint8_t>(*report.characterization.middlebox_hops);
-  }
-  return ctx;
+  return evaluation_context(report.characterization);
 }
 
 std::unique_ptr<Deployment> Liberate::deploy(const SessionReport& report,

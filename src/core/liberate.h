@@ -32,6 +32,11 @@ struct SessionReport {
   double total_virtual_minutes = 0;
 };
 
+/// Phases 1–3 end to end over any round executor: detection, then (when the
+/// policy keys on content) characterization and pruned evaluation.
+SessionReport analyze(RoundExecutor& rounds,
+                      const trace::ApplicationTrace& trace);
+
 /// One stage of a runtime-adaptation ladder and the probe rounds it spent.
 /// Stages appear in execution order; their rounds always sum to the
 /// enclosing report's total_rounds (each replay the adaptation ran is
@@ -100,7 +105,8 @@ class Liberate {
  public:
   explicit Liberate(dpi::Environment& env, std::uint64_t seed = 1);
 
-  /// Run phases 1–3 for an application's recorded trace.
+  /// Run phases 1–3 for an application's recorded trace in this instance's
+  /// one shared world.
   SessionReport analyze(const trace::ApplicationTrace& trace);
 
   /// Build a deployment for live traffic from an analysis result. Returns

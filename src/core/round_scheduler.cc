@@ -113,25 +113,10 @@ RoundResult run_isolated_round(const WorldSpec& spec, const RoundRequest& req,
 
   ReplayRunner runner(*env, derive_seed(spec.seed, id, 0x5EED));
 
-  std::unique_ptr<Technique> technique;
-  if (!req.technique.empty()) {
-    for (auto& t : build_full_suite()) {
-      if (t->name() == req.technique) {
-        technique = std::move(t);
-        break;
-      }
-    }
-  }
-
-  ReplayOptions opts;
-  opts.technique = technique.get();
-  opts.context = req.context;
-  opts.server_port_override = req.server_port_override;
-  opts.server_ip_override = req.server_ip_override;
-  opts.match_packet_ttl = req.match_packet_ttl;
-  opts.pause_before_match_s = req.pause_before_match_s;
-  opts.pause_after_match_s = req.pause_after_match_s;
-  opts.timeout = static_cast<netsim::Duration>(req.timeout_s * 1e6);
+  const TechniqueSuite suite =
+      req.technique.empty() ? TechniqueSuite{} : build_full_suite();
+  const ReplayOptions opts =
+      replay_options(req, find_technique(suite, req.technique));
 
   RoundResult result;
   result.outcome = runner.run(req.trace, opts);
@@ -182,11 +167,7 @@ RoundResult RoundScheduler::execute(const RoundRequest& req,
   RoundResult result = run_isolated_round(spec_, req, key);
   executed_.fetch_add(1);
   LIBERATE_COUNTER_ADD("core.rounds_executed", 1);
-  LIBERATE_HISTOGRAM_OBSERVE("core.round_virtual_seconds",
-                             ({0.5, 1, 2, 5, 10, 30, 60, 120, 300}),
-                             result.virtual_seconds);
-  // HDR twin of the fixed-bucket histogram above: full-resolution virtual
-  // latency quantiles without having to guess bounds.
+  // Virtual round latency at full resolution (obs/hdr_histogram.h).
   LIBERATE_HDR_RECORD("core.round_latency_us",
                       result.virtual_seconds > 0
                           ? static_cast<std::uint64_t>(
@@ -248,6 +229,10 @@ std::shared_future<RoundResult> RoundScheduler::submit(RoundRequest req) {
     return pool_->submit(std::move(task)).share();
   }
   return ready(execute(req, key));
+}
+
+dpi::Environment::Signal RoundScheduler::signal() const {
+  return dpi::make_environment(spec_.environment, spec_.seed)->signal;
 }
 
 RoundResult RoundScheduler::run_one(const RoundRequest& req) {

@@ -31,7 +31,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/replay.h"
+#include "core/round_executor.h"
 #include "netsim/faulty.h"
 #include "util/digest.h"
 #include "util/lru_cache.h"
@@ -55,34 +55,6 @@ struct WorldSpec {
   /// whole analysis pipeline can be exercised over hostile links — still
   /// byte-identical across worker counts.
   netsim::FaultPolicy faults{};
-};
-
-/// One replay round: a (possibly mutated) trace plus the replay knobs of
-/// ReplayOptions, with the technique carried by name so the request is a
-/// plain value that can cross threads and be fingerprinted.
-struct RoundRequest {
-  trace::ApplicationTrace trace;
-  /// Registry name of the evasion technique to apply ("" = none).
-  std::string technique;
-  TechniqueContext context;
-  std::uint16_t server_port_override = 0;
-  std::uint32_t server_ip_override = 0;
-  std::optional<std::uint8_t> match_packet_ttl;
-  double pause_before_match_s = 0;
-  double pause_after_match_s = 0;
-  double timeout_s = 60;
-};
-
-struct RoundResult {
-  ReplayOutcome outcome;
-  /// The environment's differentiation oracle, evaluated in-world (the
-  /// direct signal needs the live classifier state, which dies with the
-  /// world).
-  bool differentiated = false;
-  /// Virtual seconds this round consumed (excluding warm-up).
-  double virtual_seconds = 0;
-  std::uint64_t bytes_offered = 0;
-  bool from_cache = false;
 };
 
 /// Content fingerprint of a round: the memoization key and the round_id
@@ -132,17 +104,23 @@ struct SchedulerOptions {
   std::size_t cache_capacity = 8192;
 };
 
-/// Batched submission front-end: submit() returns a future per round,
-/// run_batch() submits a wave and collects it in submission order.
-/// Identical in-flight rounds are coalesced onto one execution.
-class RoundScheduler {
+/// Batched submission front-end and the isolated-world RoundExecutor:
+/// submit() returns a future per round, run_batch() submits a wave and
+/// collects it in submission order. Identical in-flight rounds are
+/// coalesced onto one execution.
+class RoundScheduler final : public RoundExecutor {
  public:
   explicit RoundScheduler(WorldSpec spec, SchedulerOptions options = {});
   ~RoundScheduler();
 
   std::shared_future<RoundResult> submit(RoundRequest req);
   RoundResult run_one(const RoundRequest& req);
-  std::vector<RoundResult> run_batch(const std::vector<RoundRequest>& reqs);
+  std::vector<RoundResult> run_batch(
+      const std::vector<RoundRequest>& reqs) override;
+  bool shares_world() const override { return false; }
+  /// Read off a world built from the spec (one environment build per call).
+  dpi::Environment::Signal signal() const override;
+  double clock_seconds() const override { return 0; }
 
   const WorldSpec& world() const { return spec_; }
   std::size_t worker_count() const {

@@ -94,9 +94,7 @@ ReadaptOutcome incremental_readapt(core::Liberate& lib,
     result.report.total_virtual_minutes =
         (runner.virtual_seconds_elapsed() - t0) / 60.0;
     LIBERATE_COUNTER_ADD("deploy.readapt.total", 1);
-    LIBERATE_HISTOGRAM_OBSERVE("deploy.readapt.rounds",
-                               ({1, 2, 5, 10, 25, 50, 100, 200}),
-                               result.report.total_rounds);
+    LIBERATE_HDR_RECORD("deploy.readapt.rounds", result.report.total_rounds);
     LIBERATE_OBS_EVENT(
         static_cast<std::uint64_t>(runner.virtual_seconds_elapsed() * 1e6),
         "deploy", "readapt", obs::fv("path", readapt_path_name(path)),

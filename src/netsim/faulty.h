@@ -1,15 +1,14 @@
 // faulty.h — adversarial fault-injection path element.
 //
-// Where LossyElement/JitterElement model benign path imperfection, FaultyLink
-// models an actively hostile (or badly broken) segment: policy-driven loss,
-// duplication, truncation, bit corruption, reordering and jitter, all drawn
-// from one explicitly seeded Rng. Because every draw happens in packet
-// arrival order on the deterministic event loop, the same seed produces the
-// same fault sequence — and therefore the same delivered byte stream — on
-// every run and under any worker count (each parallel replay round owns an
-// isolated world). The fuzz harness (src/fuzz) and the robustness tests
-// drive flows through this element; core replay picks it up via
-// WorldSpec::faults.
+// FaultyLink models an imperfect, hostile or badly broken path segment:
+// policy-driven loss, duplication, truncation, bit corruption, reordering
+// and jitter, all drawn from one explicitly seeded Rng. Because every draw
+// happens in packet arrival order on the deterministic event loop, the same
+// seed produces the same fault sequence — and therefore the same delivered
+// byte stream — on every run and under any worker count (each parallel
+// replay round owns an isolated world). The fuzz harness (src/fuzz) and the
+// robustness tests drive flows through this element; core replay picks it
+// up via WorldSpec::faults.
 #pragma once
 
 #include <algorithm>

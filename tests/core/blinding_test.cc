@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "dpi/rules.h"
 #include "trace/generators.h"
 
@@ -112,6 +116,112 @@ TEST(Blinding, SnippetsUsableForMatchingRanges) {
   for (const auto& f : fields) snippets.push_back(f.content);
   EXPECT_FALSE(
       matching_ranges(BytesView(t.messages[0].payload), snippets).empty());
+}
+
+// The traversal pins below use a 32-byte request carrying two keywords
+// ("GET" at bytes 0-2, "kw.io" at bytes 23-27) and a response with neither,
+// at granularity 4 — small enough to spell out every probe.
+trace::ApplicationTrace two_keyword_trace() {
+  trace::ApplicationTrace t;
+  t.app_name = "two-keyword";
+  trace::Message request;
+  request.sender = trace::Sender::kClient;
+  request.payload = to_bytes("GET /a HTTP/1.1\r\nHost: kw.io\r\n\r\n");
+  trace::Message response;
+  response.sender = trace::Sender::kServer;
+  response.payload = to_bytes("HTTP/1.1 200 OK\r\n\r\n");
+  t.messages = {request, response};
+  return t;
+}
+
+dpi::MatchRule two_keyword_rule() {
+  dpi::MatchRule rule;
+  rule.keywords = {"GET", "kw.io"};
+  return rule;
+}
+
+/// The region a probe blinded, as "message:offset+length" ("baseline" for
+/// the unmodified trace). blind_range inverts every byte of its region, so
+/// the differing bytes are exactly that region.
+std::string probed_region(const trace::ApplicationTrace& original,
+                          const trace::ApplicationTrace& probe) {
+  for (std::size_t m = 0; m < original.messages.size(); ++m) {
+    const Bytes& a = original.messages[m].payload;
+    const Bytes& b = probe.messages[m].payload;
+    std::size_t first = a.size(), last = 0;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      if (a[i] == b[i]) continue;
+      first = std::min(first, i);
+      last = i;
+    }
+    if (first < a.size()) {
+      return std::to_string(m) + ":" + std::to_string(first) + "+" +
+             std::to_string(last - first + 1);
+    }
+  }
+  return "baseline";
+}
+
+std::string describe(const std::vector<MatchingField>& fields) {
+  std::string out;
+  for (const MatchingField& f : fields) {
+    out += std::to_string(f.message_index) + ":" + std::to_string(f.offset) +
+           "+" + std::to_string(f.length) + "=" +
+           to_string(BytesView(f.content)) + " ";
+  }
+  return out;
+}
+
+TEST(Blinding, SequentialProbeOrderIsDepthFirst) {
+  const auto t = two_keyword_trace();
+  const ClassificationOracle classify = oracle_for(two_keyword_rule());
+  std::vector<std::string> probes;
+  ClassificationOracle recording = [&](const trace::ApplicationTrace& p) {
+    probes.push_back(probed_region(t, p));
+    return classify(p);
+  };
+  BlindingStats stats;
+  auto fields = find_matching_fields(t, recording, &stats, 4);
+
+  // Depth-first, one probe at a time. A necessary message is probed twice
+  // in a row (0:0+32): once to prune, once on entering the recursion.
+  const std::vector<std::string> expected = {
+      "baseline", "0:0+32", "0:0+32", "0:0+16", "0:0+8",  "0:0+4",
+      "0:4+4",    "0:8+8",  "0:16+16", "0:16+8", "0:16+4", "0:20+4",
+      "0:24+8",   "0:24+4", "0:28+4",  "1:0+19"};
+  EXPECT_EQ(probes, expected);
+  EXPECT_EQ(stats.replay_rounds, static_cast<int>(expected.size()));
+  EXPECT_EQ(describe(fields), "0:0+4=GET  0:20+8=t: kw.io ");
+}
+
+TEST(Blinding, BatchedWavesAreBreadthFirst) {
+  const auto t = two_keyword_trace();
+  const ClassificationOracle classify = oracle_for(two_keyword_rule());
+  std::vector<std::vector<std::string>> waves;
+  BatchClassificationOracle recording =
+      [&](const std::vector<trace::ApplicationTrace>& batch) {
+        std::vector<std::string> wave;
+        std::vector<bool> verdicts;
+        for (const auto& p : batch) {
+          wave.push_back(probed_region(t, p));
+          verdicts.push_back(classify(p));
+        }
+        waves.push_back(wave);
+        return verdicts;
+      };
+  BlindingStats stats;
+  auto fields = find_matching_fields_batched(t, recording, &stats, 4);
+
+  // One wave per level of the search; no message is probed twice.
+  const std::vector<std::vector<std::string>> expected = {
+      {"baseline"},
+      {"0:0+32", "1:0+19"},
+      {"0:0+16", "0:16+16"},
+      {"0:0+8", "0:8+8", "0:16+8", "0:24+8"},
+      {"0:0+4", "0:4+4", "0:16+4", "0:20+4", "0:24+4", "0:28+4"}};
+  EXPECT_EQ(waves, expected);
+  EXPECT_EQ(stats.replay_rounds, 15);
+  EXPECT_EQ(describe(fields), "0:0+4=GET  0:20+8=t: kw.io ");
 }
 
 }  // namespace
